@@ -67,9 +67,9 @@ def test_micro_struct_codec(benchmark):
     ])
 
     def run():
+        # the per-tick exchange: one generated make() per struct
         for i in range(2000):
-            data = spec.pack(a=1, b=i, c=i * 7, d=i * 31, v=[i, i, i, i])
-            spec.unpack(data)
+            spec.make(1, i, i * 7, i * 31, [i, i, i, i])
 
     benchmark(run)
 
@@ -77,11 +77,11 @@ def test_micro_struct_codec(benchmark):
 def test_micro_pmu_rtl_tick_rate(benchmark):
     lib = PMUSharedLibrary()
     lib.reset()
-    buf = lib.input_spec.pack(events=0b111011)
+    inputs = lib.input_spec.make(events=0b111011)
 
     def run():
         for _ in range(2000):
-            lib.tick(buf)
+            lib.tick(inputs)
 
     benchmark(run)
 

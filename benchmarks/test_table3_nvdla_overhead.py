@@ -11,6 +11,9 @@ from conftest import workload_scale, write_artifact
 
 from repro.dse import render_table3, run_table3
 
+#: shortest standalone run whose time a ratio may be divided by
+MIN_STANDALONE_S = 0.010
+
 
 def test_table3_simulation_overhead(benchmark, artifact):
     scales = {
@@ -23,12 +26,18 @@ def test_table3_simulation_overhead(benchmark, artifact):
     lines = [render_table3(rows), "", "absolute seconds:"]
     for r in rows:
         lines.append(
-            f"  {r.workload:10s}: standalone={r.t_standalone:.2f}s "
-            f"perfect={r.t_perfect_memory:.2f}s ddr4={r.t_ddr4:.2f}s"
+            f"  {r.workload:10s}: standalone={r.t_standalone:.3f}s "
+            f"perfect={r.t_perfect_memory:.3f}s ddr4={r.t_ddr4:.3f}s"
         )
     artifact("table3_nvdla_overhead.txt", "\n".join(lines))
 
     for row in rows:
+        # a baseline this short is timer noise, and every ratio divides
+        # by it: refuse to report one
+        assert row.t_standalone >= MIN_STANDALONE_S, (
+            f"{row.workload}: standalone baseline {row.t_standalone:.4f}s "
+            f"is under {MIN_STANDALONE_S}s; raise the workload scale"
+        )
         # full-system simulation costs more than the standalone model
         assert row.perfect_overhead > 1.0
         # a real DRAM model costs at least as much as perfect memory

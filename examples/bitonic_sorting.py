@@ -38,12 +38,12 @@ def main() -> None:
         while len(results) < len(batches):
             batch = next(feed, None)
             if batch is not None:
-                buf = lib.input_spec.pack(valid_in=1, data=batch)
+                inputs = lib.input_spec.make(valid_in=1, data=batch)
             else:
-                buf = lib.input_spec.zeros()
-            out = lib.output_spec.unpack(lib.tick(buf))
-            if out["valid_out"]:
-                results.append(out["data"])
+                inputs = lib.input_spec.make()
+            valid_out, data = lib.tick(inputs)
+            if valid_out:
+                results.append(list(data))
             ticks += 1
 
         ok = sum(r == sorted(b) for r, b in zip(results, batches))

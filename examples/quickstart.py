@@ -6,7 +6,7 @@ Walks the three blocks of the gem5+rtl framework (paper Fig. 1):
 1. an RTL model (Verilog here) is compiled by the Verilator-equivalent
    frontend into an executable model;
 2. a shared-library wrapper exposes ``tick``/``reset`` and exchanges
-   packed structs;
+   struct value tuples (``StructSpec.make``) with the RTLObject;
 3. an RTLObject bridges the wrapper into a simulated SoC, where host
    software talks to it over MMIO.
 
@@ -73,15 +73,16 @@ class CounterLibrary(RTLSharedLibrary):
     def __init__(self) -> None:
         super().__init__(compile_verilog(COUNTER_V, params={"W": 16}))
 
-    def drive(self, inputs: dict) -> None:
-        self.sim.poke("event_in", inputs["event_in"])
-        self.sim.poke("clear", inputs["clear"])
+    def drive(self, inputs: tuple) -> None:
+        event_in, clear = inputs
+        self.sim.poke("event_in", event_in)
+        self.sim.poke("clear", clear)
 
-    def collect(self) -> dict:
-        return {
-            "count": self.sim.peek("count"),
-            "saturated": self.sim.peek("saturated"),
-        }
+    def collect(self) -> tuple:
+        return self.output_spec.make(
+            count=self.sim.peek("count"),
+            saturated=self.sim.peek("saturated"),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,7 @@ class CounterRTLObject(RTLObject):
     def _bump(self) -> None:
         self.events += 1
 
-    def build_input(self) -> bytes:
+    def build_input(self) -> tuple:
         event = 1 if self.events else 0
         if self.events:
             self.events -= 1
@@ -118,10 +119,10 @@ class CounterRTLObject(RTLObject):
                 self.respond_cpu(
                     pkt, self.last_count.to_bytes(pkt.size, "little")
                 )
-        return self.library.input_spec.pack(event_in=event, clear=clear)
+        return self.library.input_spec.make(event_in=event, clear=clear)
 
-    def consume_output(self, outputs: dict) -> None:
-        self.last_count = outputs["count"]
+    def consume_output(self, outputs: tuple) -> None:
+        self.last_count, _saturated = outputs
 
 
 def soc_demo() -> None:

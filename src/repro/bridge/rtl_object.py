@@ -12,8 +12,9 @@ exposes the paper's connectivity surface:
 * **a tick event** running at the RTL model's own clock frequency,
   which may differ from the cores' (the PMU runs at 1 GHz under 2 GHz
   cores in the paper's Table 1);
-* the **struct exchange**: every tick the object packs an input struct,
-  calls ``library.tick``, and consumes the output struct.
+* the **struct exchange**: every tick the object builds an input value
+  tuple, calls ``library.tick`` with it, and consumes the output tuple
+  (see :mod:`repro.bridge.structs`; nothing is packed to bytes).
 
 Model-specific subclasses implement :meth:`build_input` and
 :meth:`consume_output` — exactly the paper's "the gem5 RTLObject and the
@@ -141,15 +142,15 @@ class RTLObject(SimObject):
 
     def _tick(self) -> None:
         n = self._batch_window()
-        in_bytes = self._tick_prologue(n)
+        inputs = self._tick_prologue(n)
         if n > 1:
-            out_bytes = self.library.tick_batch(in_bytes, n)
+            outputs = self.library.tick_batch(inputs, n)
         else:
-            out_bytes = self.library.tick(in_bytes)
-        self._tick_epilogue(n, out_bytes)
+            outputs = self.library.tick(inputs)
+        self._tick_epilogue(n, outputs)
 
-    def _tick_prologue(self, n: int) -> bytes:
-        """Everything before the model call: tracing + input packing.
+    def _tick_prologue(self, n: int) -> tuple:
+        """Everything before the model call: tracing + the input tuple.
 
         Split from :meth:`_tick` so the bulk-synchronous scheduler
         (:mod:`repro.rtl.parallel.sched`) can run every group member's
@@ -175,12 +176,12 @@ class RTLObject(SimObject):
         )
         return self.build_input()
 
-    def _tick_epilogue(self, n: int, out_bytes: bytes) -> None:
+    def _tick_epilogue(self, n: int, outputs: tuple) -> None:
         """Everything after the model call: stats, output, reschedule."""
         if n > 1:
             self.st_batched_ticks.inc(n)
         self.st_ticks.inc(n)
-        self.consume_output(self.library.output_spec.unpack(out_bytes))
+        self.consume_output(outputs)
         if self._running:
             self.schedule_cycles(self._tick_event, n, EventPriority.CLOCK)
 
@@ -244,18 +245,20 @@ class RTLObject(SimObject):
 
     # -- hooks for model-specific subclasses ----------------------------------
 
-    def build_input(self) -> bytes:
-        """Pack the input struct for this tick (override per model)."""
-        return self.library.input_spec.zeros()
+    def build_input(self) -> tuple:
+        """The input value tuple for this tick (override per model with
+        ``self.library.input_spec.make(...)``)."""
+        return self.library.input_spec.make()
 
-    def consume_output(self, outputs: dict) -> None:
-        """Act on the output struct from this tick (override per model)."""
+    def consume_output(self, outputs: tuple) -> None:
+        """Act on the output value tuple from this tick (override per
+        model)."""
 
     def idle_cycles(self) -> int:
         """Upper bound on cycles this model may advance per input struct.
 
-        Override per model: return > 1 only when (a) the inputs packed
-        by :meth:`build_input` would be byte-identical for that many
+        Override per model: return > 1 only when (a) the inputs built
+        by :meth:`build_input` would be identical for that many
         cycles and (b) every intermediate output is ignorable — no
         response, interrupt or memory request pulse can be missed.  The
         default is the always-safe single cycle.

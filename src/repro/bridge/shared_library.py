@@ -3,9 +3,8 @@
 A shared library bundles the Verilator/GHDL-generated model with a
 wrapper exposing exactly two entry points to gem5:
 
-* ``tick(input_bytes) -> output_bytes`` — advance the model one of *its*
-  clock cycles, fed by a packed input struct, producing a packed output
-  struct;
+* ``tick(inputs) -> outputs`` — advance the model one of *its* clock
+  cycles, fed by an input struct, producing an output struct;
 * ``reset()`` — reset the modelled hardware.
 
 :class:`SharedLibrary` is that contract.  :class:`RTLSharedLibrary` is
@@ -14,6 +13,11 @@ owns the :class:`~repro.rtl.RTLSimulator`, supports waveform tracing
 with runtime enable/disable (Table 2's knob), and leaves two hooks —
 ``drive``/``collect`` — for the model-specific wrapper (PMU, NVDLA, …)
 to move struct fields onto RTL pins and back.
+
+Structs cross this boundary as value tuples built by
+:meth:`~repro.bridge.structs.StructSpec.make` (one masked int per field
+in spec order, a tuple for an array field), the in-process analogue of
+the paper's pointer to a C struct: no bytes are packed per tick.
 """
 
 from __future__ import annotations
@@ -35,14 +39,15 @@ class SharedLibrary(abc.ABC):
     output_spec: StructSpec
 
     @abc.abstractmethod
-    def tick(self, input_bytes: bytes) -> bytes:
-        """Advance the model one cycle of its own clock."""
+    def tick(self, inputs: tuple) -> tuple:
+        """Advance the model one cycle of its own clock: *inputs* is an
+        ``input_spec`` value tuple, the result an ``output_spec`` one."""
 
-    def tick_batch(self, input_bytes: bytes, cycles: int) -> bytes:
+    def tick_batch(self, inputs: tuple, cycles: int) -> tuple:
         """Advance *cycles* clock cycles holding one input struct steady.
 
         Semantically identical to calling :meth:`tick` *cycles* times
-        with the same bytes and discarding all but the last output — the
+        with the same inputs and discarding all but the last output — the
         caller (an RTLObject whose I/O is quiescent) guarantees the
         intermediate outputs are ignorable.  The default implementation
         does exactly that; RTL-backed libraries override it with a fused
@@ -50,9 +55,8 @@ class SharedLibrary(abc.ABC):
         """
         if cycles < 1:
             raise ValueError(f"cannot batch {cycles} cycles")
-        out = b""
         for _ in range(cycles):
-            out = self.tick(input_bytes)
+            out = self.tick(inputs)
         return out
 
     @abc.abstractmethod
@@ -79,9 +83,10 @@ class RTLSharedLibrary(SharedLibrary):
 
     Subclasses implement:
 
-    * :meth:`drive` — move unpacked input-struct fields onto RTL inputs
+    * :meth:`drive` — move the input tuple's fields onto RTL inputs
       (via ``self.sim.poke``);
-    * :meth:`collect` — read RTL outputs and return output-struct fields.
+    * :meth:`collect` — read RTL outputs into an output tuple
+      (``self.output_spec.make(...)``).
     """
 
     #: name of the design's reset input (asserted by :meth:`reset`)
@@ -124,17 +129,15 @@ class RTLSharedLibrary(SharedLibrary):
 
     # -- the contract -----------------------------------------------------------
 
-    def tick(self, input_bytes: bytes) -> bytes:
-        inputs = self.input_spec.unpack(input_bytes)
+    def tick(self, inputs: tuple) -> tuple:
         self.drive(inputs)
         self.sim.settle()
         self.sim.tick()
         self.ticks += 1
-        outputs = self.collect()
-        return self.output_spec.pack(**outputs)
+        return self.collect()
 
-    def tick_batch(self, input_bytes: bytes, cycles: int) -> bytes:
-        """Fused batch: unpack/drive/collect once, run all cycles inside
+    def tick_batch(self, inputs: tuple, cycles: int) -> tuple:
+        """Fused batch: drive/collect once, run all cycles inside
         the RTL kernel (one generated loop on the codegen backend).
 
         Equivalent to *cycles* sequential :meth:`tick` calls with the
@@ -144,13 +147,11 @@ class RTLSharedLibrary(SharedLibrary):
         """
         if cycles < 1:
             raise ValueError(f"cannot batch {cycles} cycles")
-        inputs = self.input_spec.unpack(input_bytes)
         self.drive(inputs)
         self.sim.settle()
         self.sim.run_cycles(cycles)
         self.ticks += cycles
-        outputs = self.collect()
-        return self.output_spec.pack(**outputs)
+        return self.collect()
 
     def reset(self) -> None:
         self.sim.reset(self.reset_signal)
@@ -190,12 +191,12 @@ class RTLSharedLibrary(SharedLibrary):
     # -- model-specific hooks ------------------------------------------------------
 
     @abc.abstractmethod
-    def drive(self, inputs: dict) -> None:
-        """Apply unpacked input fields to the RTL model's input signals."""
+    def drive(self, inputs: tuple) -> None:
+        """Apply an input value tuple to the RTL model's input signals."""
 
     @abc.abstractmethod
-    def collect(self) -> dict:
-        """Read the RTL model's outputs into output-struct fields."""
+    def collect(self) -> tuple:
+        """Read the RTL model's outputs into an output value tuple."""
 
 
 class BehavioralSharedLibrary(SharedLibrary):
@@ -209,15 +210,15 @@ class BehavioralSharedLibrary(SharedLibrary):
     def __init__(self) -> None:
         self.ticks = 0
 
-    def tick(self, input_bytes: bytes) -> bytes:
-        inputs = self.input_spec.unpack(input_bytes)
+    def tick(self, inputs: tuple) -> tuple:
         outputs = self.step(inputs)
         self.ticks += 1
-        return self.output_spec.pack(**outputs)
+        return outputs
 
     @abc.abstractmethod
-    def step(self, inputs: dict) -> dict:
-        """Advance one cycle; return output-struct fields."""
+    def step(self, inputs: tuple) -> tuple:
+        """Advance one cycle on an input value tuple; return the output
+        value tuple (``self.output_spec.make(...)``)."""
 
     def reset(self) -> None:
         self.ticks = 0

@@ -2,33 +2,42 @@
 
 The paper's wrapper contract passes "a void pointer to a predefined data
 structure" into ``tick`` and returns results "on another data structure".
-We reproduce that contract faithfully: both sides agree on a
-:class:`StructSpec` (an ordered set of fixed-width fields), and the data
-actually crosses the boundary as *packed bytes* — the gem5 side never
-reaches into the RTL model's state, and vice versa.
+Both sides agree on a :class:`StructSpec` (an ordered set of
+fixed-width fields) and never reach into each other's state.
 
+In the paper that struct lives in one address space with gem5, so the
+exchange costs no serialization.  Ours does the same: each tick the
+RTLObject and the shared library hand each other a *value tuple* — one
+masked int per field in spec order, a tuple of ints for an array field.
+:meth:`StructSpec.make` builds such a tuple; it is generated once per
+spec (``exec``, like the RTL kernel's codegen backend), so it runs no
+per-field loop.
+
+Bytes appear only at the byte adapters :meth:`StructSpec.pack` and
+:meth:`StructSpec.unpack`, for callers that want the C-struct image.
 Like a C struct, every field occupies a power-of-two slot (1/2/4/8
-bytes per element) so the codec compiles to one :class:`struct.Struct`
-format — this layer runs once per simulated RTL clock cycle, so it is
-deliberately cheap.
+bytes per element, little-endian), so the layout is one
+:class:`struct.Struct` format.
 
 Example::
 
     PMU_IN = StructSpec("pmu_in", [
         Field("events", 20),              # event_enable[0-19] bits
-        Field("aw_valid", 1), Field("aw_addr", 32),
-        Field("w_valid", 1),  Field("w_data", 32),
-        Field("ar_valid", 1), Field("ar_addr", 32),
+        Field("awvalid", 1), Field("awaddr", 12), Field("wdata", 32),
+        Field("arvalid", 1), Field("araddr", 12),
     ])
-    buf = PMU_IN.pack(events=0b101, ar_valid=1, ar_addr=0x100)
-    fields = PMU_IN.unpack(buf)
+    inputs = PMU_IN.make(events=0b101, arvalid=1, araddr=0x100)
+    # -> (5, 0, 0, 0, 1, 256); the library's drive() unpacks it in order
+    buf = PMU_IN.pack(events=0b101, arvalid=1, araddr=0x100)  # 14 bytes
+    assert PMU_IN.unpack(buf) == inputs
 """
 
 from __future__ import annotations
 
+import keyword
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 def _slot_for(width: int) -> tuple[int, str]:
@@ -65,8 +74,74 @@ class Field:
         return (1 << self.width) - 1
 
 
+def _tuple_src(items: list[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _generate(spec: "StructSpec") -> tuple[Callable, Callable, Callable]:
+    """Source-generate ``make``, ``encode`` and ``decode`` for *spec*.
+
+    Field names become ``make``'s parameters; every helper the code
+    needs is a global whose name starts with ``_``, which no field name
+    may, so the two never collide.
+    """
+    ns: dict = {
+        "_int": int, "_len": len, "_ValueError": ValueError,
+        "_pack": spec._struct.pack, "_unpack": spec._struct.unpack,
+    }
+    params: list[str] = []
+    body: list[str] = []
+    made: list[str] = []      # make's return items
+    flat: list[str] = []      # encode's struct arguments
+    decoded: list[str] = []   # decode's return items
+    pos = 0
+    for i, f in enumerate(spec.fields):
+        n, mask = f.name, f"{f.mask:#x}"
+        if f.count == 1:
+            params.append(f"{n}=0")
+            body.append(f"    {n} = _int({n}) & {mask}")
+            flat.append(f"t[{i}]")
+            decoded.append(f"f[{pos}] & {mask}")
+        else:
+            zero = f"_zero_{n}"
+            ns[zero] = (0,) * f.count
+            params.append(f"{n}={zero}")
+            body += [
+                f"    if {n} is not {zero}:",
+                f"        if _len({n}) != {f.count}:",
+                f"            raise _ValueError(\"field {n!r} expects "
+                f"{f.count} elements, got %d\" % _len({n}))",
+                f"        {n} = " + _tuple_src(
+                    [f"_int({n}[{k}]) & {mask}" for k in range(f.count)]),
+            ]
+            flat += [f"t[{i}][{k}]" for k in range(f.count)]
+            decoded.append(_tuple_src(
+                [f"f[{pos + k}] & {mask}" for k in range(f.count)]))
+        made.append(n)
+        pos += f.count
+    src = "\n".join([
+        f"def make({', '.join(params)}):",
+        *body,
+        f"    return {_tuple_src(made)}",
+        "def encode(t):",
+        f"    return _pack({', '.join(flat)})",
+        "def decode(data):",
+        "    f = _unpack(data)",
+        f"    return {_tuple_src(decoded)}",
+    ])
+    exec(compile(src, f"<struct {spec.name}>", "exec"), ns)
+    return ns["make"], ns["encode"], ns["decode"]
+
+
 class StructSpec:
-    """An ordered, fixed-layout struct definition shared by both sides."""
+    """An ordered, fixed-layout struct definition shared by both sides.
+
+    ``make(*values, **fields)`` returns the value tuple: positional
+    values fill fields in order, keywords by name, fields left out are
+    zero.  Values go through ``int()`` and are masked to their declared
+    width (hardware truncation); an array field takes a sequence of
+    exactly ``count`` elements and comes back as a tuple.
+    """
 
     def __init__(self, name: str, fields: list[Field]) -> None:
         self.name = name
@@ -75,76 +150,51 @@ class StructSpec:
         for f in self.fields:
             if f.name in seen:
                 raise ValueError(f"duplicate field {f.name!r} in struct {name!r}")
+            if (not f.name.isidentifier() or keyword.iskeyword(f.name)
+                    or f.name.startswith("_")):
+                raise ValueError(
+                    f"field {f.name!r} in struct {name!r}: names must be "
+                    "identifiers that are not keywords and do not start "
+                    "with '_'"
+                )
             seen.add(f.name)
+        self._names = frozenset(seen)
 
-        # compiled layout: one flat little-endian struct format
-        fmt = "<"
-        self._layout: list[tuple[str, int, int, int]] = []  # name,count,mask,pos
-        pos = 0
-        for f in self.fields:
-            _, code = _slot_for(f.width)
-            fmt += code * f.count
-            self._layout.append((f.name, f.count, f.mask, pos))
-            pos += f.count
+        # one flat little-endian struct format
+        fmt = "<" + "".join(_slot_for(f.width)[1] * f.count for f in self.fields)
         self._struct = struct.Struct(fmt)
-        self._nvalues = pos
-        self._offsets = {f.name: i for i, f in enumerate(self.fields)}
         self.size = self._struct.size
         self._zeros = b"\0" * self.size
+        self.make, self._encode, self._decode = _generate(self)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._offsets
+        return name in self._names
 
     def __iter__(self) -> Iterator[Field]:
         return iter(self.fields)
 
-    # -- packing -------------------------------------------------------------
+    # -- byte adapters ---------------------------------------------------------
 
-    def pack(self, **values) -> bytes:
-        """Pack keyword values (ints, or lists for array fields) to bytes.
+    def pack(self, *values, **fields) -> bytes:
+        """The C-struct bytes of ``make(*values, **fields)``.
 
-        Unspecified fields default to zero.  Values are masked to their
-        declared width, matching hardware truncation semantics.
+        Raises ``KeyError`` for a keyword that names no field.
         """
-        flat = [0] * self._nvalues
-        taken = 0
-        for fname, count, mask, pos in self._layout:
-            if fname not in values:
-                continue
-            taken += 1
-            value = values[fname]
-            if count == 1:
-                flat[pos] = int(value) & mask
-            else:
-                if len(value) != count:
-                    raise ValueError(
-                        f"field {fname!r} expects {count} elements, "
-                        f"got {len(value)}"
-                    )
-                for i, elem in enumerate(value):
-                    flat[pos + i] = int(elem) & mask
-        if taken != len(values):
-            unknown = set(values) - {f.name for f in self.fields}
+        if not self._names.issuperset(fields):
+            unknown = set(fields) - self._names
             raise KeyError(
                 f"struct {self.name!r} has no fields {sorted(unknown)}"
             )
-        return self._struct.pack(*flat)
+        return self._encode(self.make(*values, **fields))
 
-    def unpack(self, data: bytes) -> dict:
-        """Decode bytes into ``{field: int | list[int]}``."""
+    def unpack(self, data: bytes) -> tuple:
+        """Decode C-struct bytes into a value tuple."""
         if len(data) != self.size:
             raise ValueError(
                 f"struct {self.name!r} expects {self.size} bytes, "
                 f"got {len(data)}"
             )
-        flat = self._struct.unpack(data)
-        out: dict = {}
-        for fname, count, mask, pos in self._layout:
-            if count == 1:
-                out[fname] = flat[pos] & mask
-            else:
-                out[fname] = [flat[pos + i] & mask for i in range(count)]
-        return out
+        return self._decode(data)
 
     def zeros(self) -> bytes:
         return self._zeros

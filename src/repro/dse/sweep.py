@@ -296,10 +296,10 @@ class Table3Result:
 
 def run_standalone(workload: str, scale: float) -> float:
     """Standalone accelerator simulation (the paper's plain-Verilator
-    baseline): the *same* model + wrapper (struct boundary included,
-    like nvdla.cpp driving the verilated model), against an ideal
-    zero-latency testbench memory — no SoC, no trace-load phase, it
-    'reads the trace directly'."""
+    baseline): the *same* model + wrapper, exchanging the same struct
+    tuples as the full-system RTLObject does (like nvdla.cpp driving the
+    verilated model), against an ideal zero-latency testbench memory —
+    no SoC, no trace-load phase, it 'reads the trace directly'."""
     from ..models.nvdla.trace import RegWrite, WaitIrq
     from ..models.nvdla.workloads import WORKLOADS
     from ..models.nvdla.wrapper import NVDLASharedLibrary, RESP_LANES
@@ -307,30 +307,31 @@ def run_standalone(workload: str, scale: float) -> float:
     trace = WORKLOADS[workload](scale=scale)
     lib = NVDLASharedLibrary()
     lib.reset()
-    in_spec, out_spec = lib.input_spec, lib.output_spec
+    make_in = lib.input_spec.make
 
     t0 = time.perf_counter()
     pending: list[int] = []
     unacked = 0
     for cmd in trace.commands():
         if isinstance(cmd, RegWrite):
-            lib.tick(in_spec.pack(csb_valid=1, csb_write=1,
-                                  csb_addr=cmd.addr, csb_wdata=cmd.value))
+            lib.tick(make_in(csb_valid=1, csb_write=1,
+                             csb_addr=cmd.addr, csb_wdata=cmd.value))
         elif isinstance(cmd, WaitIrq):
             # the testbench memory: every request completes next cycle
             for _ in range(10_000_000):  # bounded spin
                 seqs = pending[:RESP_LANES]
                 pending = pending[RESP_LANES:]
-                out = out_spec.unpack(lib.tick(in_spec.pack(
+                acks = min(unacked, 7)
+                (_rvalid, _rdata, rd_count, rd_seqs, _addrs, _ports,
+                 wr_count, _wr_addrs, irq) = lib.tick(make_in(
                     credit=255,
                     rd_resp_count=len(seqs),
                     rd_resp_seqs=seqs + [0] * (RESP_LANES - len(seqs)),
-                    wr_acks=min(unacked, 7),
-                )))
-                unacked -= min(unacked, 7)
-                pending.extend(out["rd_seqs"][: out["rd_count"]])
-                unacked += out["wr_count"]
-                if out["irq"]:
+                    wr_acks=acks,
+                ))
+                unacked += wr_count - acks
+                pending.extend(rd_seqs[:rd_count])
+                if irq:
                     break
             else:  # pragma: no cover - defensive
                 raise RuntimeError("standalone run did not complete")

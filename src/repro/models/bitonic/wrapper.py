@@ -66,16 +66,17 @@ class BitonicSharedLibrary(RTLSharedLibrary):
                          trace_enabled=trace_enabled, backend=backend)
         self.width = width
 
-    def drive(self, inputs: dict) -> None:
-        self.sim.poke("valid_in", inputs["valid_in"])
-        for i, value in enumerate(inputs["data"]):
+    def drive(self, inputs: tuple) -> None:
+        valid_in, data = inputs
+        self.sim.poke("valid_in", valid_in)
+        for i, value in enumerate(data):
             self.sim.poke(f"d{i}", value)
 
-    def collect(self) -> dict:
-        return {
-            "valid_out": self.sim.peek("valid_out"),
-            "data": [self.sim.peek(f"q{i}") for i in range(LANES)],
-        }
+    def collect(self) -> tuple:
+        peek = self.sim.peek
+        return self.output_spec.make(
+            peek("valid_out"), [peek(f"q{i}") for i in range(LANES)]
+        )
 
     # -- convenience -------------------------------------------------------
 
@@ -83,10 +84,9 @@ class BitonicSharedLibrary(RTLSharedLibrary):
         """Push one vector through the pipeline and return it sorted."""
         if len(values) != LANES:
             raise ValueError(f"need exactly {LANES} values")
-        out = self.tick(self.input_spec.pack(valid_in=1, data=values))
+        valid_out, data = self.tick(self.input_spec.make(1, values))
         for _ in range(PIPELINE_DEPTH * 2):
-            fields = self.output_spec.unpack(out)
-            if fields["valid_out"]:
-                return fields["data"]
-            out = self.tick(self.input_spec.zeros())
+            if valid_out:
+                return list(data)
+            valid_out, data = self.tick(self.input_spec.make())
         raise RuntimeError("pipeline did not produce a result")

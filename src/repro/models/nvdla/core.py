@@ -82,6 +82,9 @@ class NVDLACore:
     WRITE_QUEUE_DEPTH = 8
     # maximum read descriptors the engine exposes per cycle
     READS_PER_CYCLE = 2
+    # maximum requests (writes + reads) the engine emits per cycle: the
+    # output struct's lanes, so the bridge never has to drop one
+    REQS_PER_CYCLE = 4
 
     def __init__(self) -> None:
         self.reset()
@@ -246,8 +249,9 @@ class NVDLACore:
 
         Returns the output-struct fields: lists of read requests
         ``(seq, addr, port)``, write request addresses, and the irq
-        pulse.  Output writes are drained before new reads are issued so
-        the write queue can never wedge the pipeline.
+        pulse.  At most :attr:`REQS_PER_CYCLE` requests are emitted per
+        cycle whatever the credit.  Output writes are drained before new
+        reads are issued so the write queue can never wedge the pipeline.
         """
         out_reads: list[tuple[int, int, int]] = []
         out_writes: list[int] = []
@@ -260,7 +264,7 @@ class NVDLACore:
         if self.busy:
             self.perf_cycles += 1
             cfg = self.cfg
-            budget = credit
+            budget = min(credit, self.REQS_PER_CYCLE)
 
             # 1) drain output writes first (they unblock compute)
             while self._writes_pending and budget > 0:

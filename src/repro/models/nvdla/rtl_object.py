@@ -80,17 +80,16 @@ class NVDLARTLObject(RTLObject):
 
     # -- struct exchange ------------------------------------------------------
 
-    def build_input(self) -> bytes:
-        fields: dict = {}
-
+    def build_input(self) -> tuple:
         # CSB: one operation per tick.
+        csb_valid = csb_write = csb_addr = csb_wdata = 0
         if self._pending_csb_read is None and self.cpu_req_queue:
             pkt = self.cpu_req_queue.popleft()
-            fields["csb_valid"] = 1
-            fields["csb_addr"] = (pkt.addr - self.mmio_base) & 0xFFF
+            csb_valid = 1
+            csb_addr = (pkt.addr - self.mmio_base) & 0xFFF
             if pkt.is_write:
-                fields["csb_write"] = 1
-                fields["csb_wdata"] = int.from_bytes(
+                csb_write = 1
+                csb_wdata = int.from_bytes(
                     (pkt.data or b"\0\0\0\0")[:4], "little"
                 )
                 self.respond_cpu(pkt)
@@ -106,7 +105,6 @@ class NVDLARTLObject(RTLObject):
         if credit <= 0:
             self.st_credit_stalls.inc()
             credit = 0
-        fields["credit"] = min(credit, 255)
 
         # deliver up to RESP_LANES read responses + count write acks
         seqs: list[int] = []
@@ -126,35 +124,35 @@ class NVDLARTLObject(RTLObject):
                 wr_acks += 1
         for pkt in reversed(remaining):
             self.mem_resp_queue.appendleft(pkt)
-        if seqs:
-            fields["rd_resp_count"] = len(seqs)
-            fields["rd_resp_seqs"] = seqs + [0] * (RESP_LANES - len(seqs))
-        if wr_acks:
-            fields["wr_acks"] = wr_acks
-        return self.library.input_spec.pack(**fields)
+        return self.library.input_spec.make(
+            csb_valid, csb_write, csb_addr, csb_wdata, min(credit, 255),
+            len(seqs), seqs + [0] * (RESP_LANES - len(seqs)), wr_acks,
+        )
 
-    def consume_output(self, outputs: dict) -> None:
-        if outputs["csb_rvalid"]:
+    def consume_output(self, outputs: tuple) -> None:
+        (csb_rvalid, csb_rdata, rd_count, rd_seqs, rd_addrs, rd_ports,
+         wr_count, wr_addrs, irq) = outputs
+        if csb_rvalid:
             pkt = self._pending_csb_read
             if pkt is None:
                 raise RuntimeError(f"{self.name}: CSB read data with no reader")
             self._pending_csb_read = None
-            data = int(outputs["csb_rdata"]).to_bytes(4, "little")[: pkt.size]
+            data = csb_rdata.to_bytes(4, "little")[: pkt.size]
             self.respond_cpu(pkt, data.ljust(pkt.size, b"\0"))
 
-        for i in range(outputs["rd_count"]):
+        for i in range(rd_count):
             ok = self.send_mem_read(
-                outputs["rd_addrs"][i], 64,
-                port_idx=outputs["rd_ports"][i],
+                rd_addrs[i], 64,
+                port_idx=rd_ports[i],
                 translate=self.translate,
-                seq=outputs["rd_seqs"][i],
+                seq=rd_seqs[i],
             )
             if not ok:
                 raise RuntimeError(
                     f"{self.name}: engine exceeded its credit (read)"
                 )
-        for i in range(outputs["wr_count"]):
-            addr = outputs["wr_addrs"][i]
+        for i in range(wr_count):
+            addr = wr_addrs[i]
             ok = self.send_mem_write(
                 addr, 64, data=output_pattern(addr),
                 port_idx=DBBIF_PORT, translate=self.translate,
@@ -164,7 +162,7 @@ class NVDLARTLObject(RTLObject):
                     f"{self.name}: engine exceeded its credit (write)"
                 )
 
-        if outputs["irq"]:
+        if irq:
             self.st_irqs.inc()
             for handler in self._irq_handlers:
                 handler(self.now)

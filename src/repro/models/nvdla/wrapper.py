@@ -16,7 +16,7 @@ from .core import NVDLACore
 #: max read responses / acks the bridge delivers per accelerator cycle
 RESP_LANES = 4
 #: max requests the engine can emit per cycle (writes + reads)
-REQ_LANES = 4
+REQ_LANES = NVDLACore.REQS_PER_CYCLE
 
 NVDLA_INPUT = StructSpec(
     "nvdla_in",
@@ -68,38 +68,39 @@ class NVDLASharedLibrary(BehavioralSharedLibrary):
     def load_model_state(self, state: dict) -> None:
         self.core.load_state(state)
 
-    def step(self, inputs: dict) -> dict:
+    def step(self, inputs: tuple) -> tuple:
+        (csb_valid, csb_write, csb_addr, csb_wdata, credit,
+         rd_resp_count, rd_resp_seqs, wr_acks) = inputs
         core = self.core
 
         # CSB wrapper: one operation per cycle, same-cycle read data.
         csb_rvalid = 0
         csb_rdata = 0
-        if inputs["csb_valid"]:
-            if inputs["csb_write"]:
-                core.csb_write(inputs["csb_addr"], inputs["csb_wdata"])
+        if csb_valid:
+            if csb_write:
+                core.csb_write(csb_addr, csb_wdata)
             else:
-                csb_rdata = core.csb_read(inputs["csb_addr"])
+                csb_rdata = core.csb_read(csb_addr)
                 csb_rvalid = 1
 
         # AXI responder wrapper: deliver responses, collect requests.
-        resp_seqs = inputs["rd_resp_seqs"][: inputs["rd_resp_count"]]
-        result = core.step(inputs["credit"], resp_seqs, inputs["wr_acks"])
-
-        reads = result["reads"][:REQ_LANES]
-        writes = result["writes"][:REQ_LANES]
-        pad = [0] * REQ_LANES
-        rd_seqs = [r[0] for r in reads] + pad
-        rd_addrs = [r[1] for r in reads] + pad
-        rd_ports = [r[2] for r in reads] + pad
-        wr_addrs = list(writes) + pad
-        return {
-            "csb_rvalid": csb_rvalid,
-            "csb_rdata": csb_rdata,
-            "rd_count": len(reads),
-            "rd_seqs": rd_seqs[:REQ_LANES],
-            "rd_addrs": rd_addrs[:REQ_LANES],
-            "rd_ports": rd_ports[:REQ_LANES],
-            "wr_count": len(writes),
-            "wr_addrs": wr_addrs[:REQ_LANES],
-            "irq": result["irq"],
-        }
+        result = core.step(credit, rd_resp_seqs[:rd_resp_count], wr_acks)
+        reads, writes = result["reads"], result["writes"]
+        if len(reads) > REQ_LANES or len(writes) > REQ_LANES:
+            raise RuntimeError(
+                f"NVDLA core emitted {len(reads)} reads and {len(writes)} "
+                f"writes in one cycle; the output struct has {REQ_LANES} "
+                "lanes of each"
+            )
+        rd_pad = [0] * (REQ_LANES - len(reads))
+        return self.output_spec.make(
+            csb_rvalid,
+            csb_rdata,
+            len(reads),
+            [r[0] for r in reads] + rd_pad,
+            [r[1] for r in reads] + rd_pad,
+            [r[2] for r in reads] + rd_pad,
+            len(writes),
+            writes + [0] * (REQ_LANES - len(writes)),
+            result["irq"],
+        )

@@ -131,7 +131,7 @@ class PMURTLObject(RTLObject):
                 return 1
         return self.batch_cycles
 
-    def build_input(self) -> bytes:
+    def build_input(self) -> tuple:
         events = 0
         for lane in self._lanes:
             if lane.is_clock:
@@ -146,7 +146,6 @@ class PMURTLObject(RTLObject):
             for i in range(pulses):
                 events |= 1 << (lane.base + i)
 
-        fields = {"events": events}
         # One configuration write and one read may be in flight per cycle.
         write_pkt = None
         read_pkt = None
@@ -158,30 +157,34 @@ class PMURTLObject(RTLObject):
                 read_pkt = self.cpu_req_queue.popleft()
             else:
                 break
+        awvalid = awaddr = wdata = arvalid = araddr = 0
         if write_pkt is not None:
-            fields["awvalid"] = 1
-            fields["awaddr"] = (write_pkt.addr - self.mmio_base) & 0xFFF
-            fields["wdata"] = int.from_bytes(
+            awvalid = 1
+            awaddr = (write_pkt.addr - self.mmio_base) & 0xFFF
+            wdata = int.from_bytes(
                 (write_pkt.data or b"\0\0\0\0")[:4], "little"
             )
             # writes complete at this edge
             self.respond_cpu(write_pkt)
         if read_pkt is not None:
-            fields["arvalid"] = 1
-            fields["araddr"] = (read_pkt.addr - self.mmio_base) & 0xFFF
+            arvalid = 1
+            araddr = (read_pkt.addr - self.mmio_base) & 0xFFF
             self._pending_reads.append(read_pkt)
-        return self.library.input_spec.pack(**fields)
+        return self.library.input_spec.make(
+            events, awvalid, awaddr, wdata, arvalid, araddr
+        )
 
-    def consume_output(self, outputs: dict) -> None:
-        if outputs["rvalid"]:
+    def consume_output(self, outputs: tuple) -> None:
+        rvalid, rdata, irq = outputs
+        if rvalid:
             if not self._pending_reads:
                 raise RuntimeError(f"{self.name}: rvalid with no pending read")
             pkt = self._pending_reads.popleft()
-            data = int(outputs["rdata"]).to_bytes(4, "little")
+            data = rdata.to_bytes(4, "little")
             if pkt.size != 4:
                 data = data[: pkt.size].ljust(pkt.size, b"\0")
             self.respond_cpu(pkt, data)
-        if outputs["irq"]:
+        if irq:
             self.st_interrupts.inc()
             for handler in self._interrupt_handlers:
                 handler(self.now)

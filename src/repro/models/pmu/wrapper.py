@@ -84,29 +84,22 @@ class PMUSharedLibrary(RTLSharedLibrary):
         super().__init__(rtl, trace_stream=trace_stream,
                          trace_enabled=trace_enabled, backend=backend)
         self.n_counters = n_counters
-        # pin indices resolved once: drive/collect run every RTL cycle
+        # pin indices resolved once, in input-struct field order:
+        # drive/collect run every RTL cycle
         sigs = rtl.signals
-        self._in_pins = [
-            (sigs[n].index, sigs[n].mask)
-            for n in ("events", "awvalid", "awaddr", "wdata",
-                      "arvalid", "araddr")
-        ]
+        self._in_pins = [(sigs[f.name].index, sigs[f.name].mask)
+                         for f in PMU_INPUT]
         self._out_pins = [sigs[n].index for n in ("rvalid", "rdata", "irq")]
 
-    def drive(self, inputs: dict) -> None:
+    def drive(self, inputs: tuple) -> None:
         v = self.sim.values
-        pins = self._in_pins
-        v[pins[0][0]] = inputs["events"] & pins[0][1]
-        v[pins[1][0]] = inputs["awvalid"] & 1
-        v[pins[2][0]] = inputs["awaddr"] & pins[2][1]
-        v[pins[3][0]] = inputs["wdata"] & pins[3][1]
-        v[pins[4][0]] = inputs["arvalid"] & 1
-        v[pins[5][0]] = inputs["araddr"] & pins[5][1]
+        for (index, mask), value in zip(self._in_pins, inputs):
+            v[index] = value & mask
 
-    def collect(self) -> dict:
+    def collect(self) -> tuple:
         v = self.sim.values
         rvalid, rdata, irq = self._out_pins
-        return {"rvalid": v[rvalid], "rdata": v[rdata], "irq": v[irq]}
+        return self.output_spec.make(v[rvalid], v[rdata], v[irq])
 
     # -- debug/verification helpers (bypass the struct boundary) ----------
 

@@ -102,19 +102,15 @@ class RTLCacheCohSharedLibrary(RTLCacheSharedLibrary):
                                   trace_enabled=trace_enabled, backend=backend)
         self.lines = 1 << idxw
 
-    def drive(self, inputs: dict) -> None:
-        super().drive(inputs)
-        poke = self.sim.poke
-        poke("snoop_valid", inputs["snoop_valid"])
-        poke("snoop_addr", inputs["snoop_addr"])
+    out_signals = RTLCacheSharedLibrary.out_signals + (
+        "snoop_ack", "snoop_hit", "snoop_count",
+    )
 
-    def collect(self) -> dict:
-        out = super().collect()
-        peek = self.sim.peek
-        out["snoop_ack"] = peek("snoop_ack")
-        out["snoop_hit"] = peek("snoop_hit")
-        out["snoops"] = peek("snoop_count")
-        return out
+    def drive(self, inputs: tuple) -> None:
+        super().drive(inputs)
+        snoop_valid, snoop_addr = inputs[6:]
+        self.sim.poke("snoop_valid", snoop_valid)
+        self.sim.poke("snoop_addr", snoop_addr)
 
 
 class RTLCoherentCacheObject(RTLCacheObject):
@@ -271,8 +267,8 @@ class RTLCoherentCacheObject(RTLCacheObject):
             return self.batch_cycles
         return 1
 
-    def build_input(self) -> bytes:
-        fields: dict = {}
+    def build_input(self) -> tuple:
+        snoop_valid = snoop_addr = 0
         # Replay one mirrored invalidation per cycle, only while the
         # request pins are idle and no fill is in flight (index hazard).
         pins_idle = (self._current is None and not self._waiting_fill
@@ -280,8 +276,8 @@ class RTLCoherentCacheObject(RTLCacheObject):
         if self._pin_snoop is None and self._pending_snoops and pins_idle:
             self._pin_snoop = self._pending_snoops.popleft()
         if self._pin_snoop is not None:
-            fields["snoop_valid"] = 1
-            fields["snoop_addr"] = self._pin_snoop & 0xFFFF_FFFF
+            snoop_valid = 1
+            snoop_addr = self._pin_snoop & 0xFFFF_FFFF
         elif (self._current is None and not self._pending_snoops
                 and self.cpu_req_queue):
             # admit a request only once the probe backlog has drained,
@@ -294,22 +290,11 @@ class RTLCoherentCacheObject(RTLCacheObject):
                                         and entry[0] == block)
             self._current_raced = False
 
-        pkt = self._current
-        if pkt is not None:
-            fields["req_valid"] = 1
-            fields["req_write"] = 1 if pkt.is_write else 0
-            fields["req_addr"] = pkt.addr & 0xFFFF_FFFF
-            if pkt.is_write and pkt.data is not None:
-                fields["req_wdata"] = int.from_bytes(
-                    pkt.data[:8].ljust(8, b"\0"), "little"
-                )
-
         if self._fill_words is not None:
-            fields["fill_valid"] = 1
-            fields["fill_data"] = self._fill_words
-            self._fill_words = None
             self._fill_installing = self._fill_block
-        return self.library.input_spec.pack(**fields)
+        return self.library.input_spec.make(
+            *self._request_pins(), *self._fill_pins(), snoop_valid, snoop_addr
+        )
 
     def _expected_word(self, block: int, off: int) -> Optional[bytes]:
         """Mirror bytes for one word, with posted stores overlaid (the
@@ -323,14 +308,17 @@ class RTLCoherentCacheObject(RTLCacheObject):
                 word = wt["data"]
         return word
 
-    def consume_output(self, outputs: dict) -> None:
-        if outputs["snoop_ack"]:
+    def consume_output(self, outputs: tuple) -> None:
+        (resp_valid, resp_rdata, resp_was_hit, miss_valid, miss_addr,
+         wt_valid, wt_addr, wt_data, _hits, _misses,
+         snoop_ack, snoop_hit, _snoops) = outputs
+        if snoop_ack:
             block = self._pin_snoop
             if block is None:
                 raise RuntimeError(f"{self.name}: snoop ack with no probe")
             idx = self._idx(block)
             expected = self._rtl_tags.get(idx) == block
-            got = bool(outputs["snoop_hit"])
+            got = bool(snoop_hit)
             if got != expected:
                 raise ProtocolError(
                     f"{self.coh_id}: lockstep divergence on probe of block "
@@ -340,14 +328,14 @@ class RTLCoherentCacheObject(RTLCacheObject):
                 del self._rtl_tags[idx]
             self._pin_snoop = None
 
-        if outputs["miss_valid"]:
+        if miss_valid:
             self._waiting_fill = True
-            self.send_mem_read(outputs["miss_addr"], LINE_BYTES,
+            self.send_mem_read(miss_addr, LINE_BYTES,
                                coh_origin=self.coh_id, wt_participant=True)
 
-        if outputs["wt_valid"]:
-            addr = int(outputs["wt_addr"])
-            data = int(outputs["wt_data"]).to_bytes(8, "little")
+        if wt_valid:
+            addr = wt_addr
+            data = wt_data.to_bytes(8, "little")
             block = addr & ~(LINE_BYTES - 1)
             entry = self._mirror.get(self._idx(block))
             wt_hit = entry is not None and entry[0] == block
@@ -360,7 +348,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
                                       "data": data})
             self._issue_mem(wt_pkt, 0, False)
 
-        if outputs["resp_valid"]:
+        if resp_valid:
             pkt = self._current
             if pkt is None:
                 raise RuntimeError(f"{self.name}: response with no request")
@@ -369,7 +357,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
             if filled is not None:
                 self._rtl_tags[self._idx(filled)] = filled
                 self._fill_block = None
-            got_hit = bool(outputs["resp_was_hit"])
+            got_hit = bool(resp_was_hit)
             if got_hit != self._current_expect_hit:
                 raise ProtocolError(
                     f"{self.coh_id}: lockstep divergence on "
@@ -379,7 +367,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
             self._current = None
             self._waiting_fill = False
             if pkt.is_read:
-                rdata = int(outputs["resp_rdata"]).to_bytes(8, "little")
+                rdata = resp_rdata.to_bytes(8, "little")
                 if not self._current_raced:
                     expected = self._expected_word(
                         block, (pkt.addr - block) & ~0x7)

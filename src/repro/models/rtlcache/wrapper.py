@@ -92,32 +92,31 @@ class RTLCacheSharedLibrary(RTLSharedLibrary):
                          trace_enabled=trace_enabled, backend=backend)
         self.lines = 1 << idxw
 
-    def drive(self, inputs: dict) -> None:
+    #: RTL output signals in output-struct field order
+    out_signals: tuple[str, ...] = (
+        "resp_valid", "resp_rdata", "resp_was_hit", "miss_valid",
+        "miss_addr", "wt_valid", "wt_addr", "wt_data", "hit_count",
+        "miss_count",
+    )
+
+    def drive(self, inputs: tuple) -> None:
         poke = self.sim.poke
-        poke("req_valid", inputs["req_valid"])
-        poke("req_write", inputs["req_write"])
-        poke("req_addr", inputs["req_addr"])
-        poke("req_wdata", inputs["req_wdata"])
-        poke("fill_valid", inputs["fill_valid"])
+        req_valid, req_write, req_addr, req_wdata, fill_valid, fill_data = (
+            inputs[:6]
+        )
+        poke("req_valid", req_valid)
+        poke("req_write", req_write)
+        poke("req_addr", req_addr)
+        poke("req_wdata", req_wdata)
+        poke("fill_valid", fill_valid)
         line = 0
-        for i, word in enumerate(inputs["fill_data"]):
+        for i, word in enumerate(fill_data):
             line |= word << (64 * i)
         poke("fill_data", line)
 
-    def collect(self) -> dict:
+    def collect(self) -> tuple:
         peek = self.sim.peek
-        return {
-            "resp_valid": peek("resp_valid"),
-            "resp_rdata": peek("resp_rdata"),
-            "resp_was_hit": peek("resp_was_hit"),
-            "miss_valid": peek("miss_valid"),
-            "miss_addr": peek("miss_addr"),
-            "wt_valid": peek("wt_valid"),
-            "wt_addr": peek("wt_addr"),
-            "wt_data": peek("wt_data"),
-            "hits": peek("hit_count"),
-            "misses": peek("miss_count"),
-        }
+        return self.output_spec.make(*[peek(n) for n in self.out_signals])
 
 
 class RTLCacheECCSharedLibrary(RTLCacheSharedLibrary):
@@ -129,6 +128,7 @@ class RTLCacheECCSharedLibrary(RTLCacheSharedLibrary):
     """
 
     output_spec = RTLCACHE_ECC_OUTPUT
+    out_signals = RTLCacheSharedLibrary.out_signals + ("corrections",)
 
     def __init__(
         self,
@@ -144,11 +144,6 @@ class RTLCacheECCSharedLibrary(RTLCacheSharedLibrary):
         RTLSharedLibrary.__init__(self, rtl, trace_stream=trace_stream,
                                   trace_enabled=trace_enabled, backend=backend)
         self.lines = 1 << idxw
-
-    def collect(self) -> dict:
-        out = super().collect()
-        out["corrections"] = self.sim.peek("corrections")
-        return out
 
 
 class RTLCacheObject(RTLObject):
@@ -197,39 +192,44 @@ class RTLCacheObject(RTLObject):
             return self.batch_cycles
         return 1
 
-    def build_input(self) -> bytes:
-        fields: dict = {}
+    def _request_pins(self) -> tuple[int, int, int, int]:
+        """(req_valid, req_write, req_addr, req_wdata) for the request
+        held at the pins (all zero when none is)."""
+        pkt = self._current
+        if pkt is None:
+            return 0, 0, 0, 0
+        wdata = 0
+        if pkt.is_write and pkt.data is not None:
+            wdata = int.from_bytes(pkt.data[:8].ljust(8, b"\0"), "little")
+        return 1, int(pkt.is_write), pkt.addr & 0xFFFF_FFFF, wdata
+
+    def _fill_pins(self) -> tuple[int, list]:
+        """(fill_valid, fill_data) delivering a pending line fill once."""
+        words, self._fill_words = self._fill_words, None
+        if words is None:
+            return 0, [0] * FILL_LANES
+        return 1, words
+
+    def build_input(self) -> tuple:
         if self._current is None and self.cpu_req_queue:
             self._current = self.cpu_req_queue.popleft()
-
         # Hold the request at the pins until the RTL responds (the cache
         # derives index/tag from req_addr, including at fill time).
-        pkt = self._current
-        if pkt is not None:
-            fields["req_valid"] = 1
-            fields["req_write"] = 1 if pkt.is_write else 0
-            fields["req_addr"] = pkt.addr & 0xFFFF_FFFF
-            if pkt.is_write and pkt.data is not None:
-                fields["req_wdata"] = int.from_bytes(
-                    pkt.data[:8].ljust(8, b"\0"), "little"
-                )
+        return self.library.input_spec.make(
+            *self._request_pins(), *self._fill_pins()
+        )
 
-        if self._fill_words is not None:
-            fields["fill_valid"] = 1
-            fields["fill_data"] = self._fill_words
-            self._fill_words = None
-        return self.library.input_spec.pack(**fields)
-
-    def consume_output(self, outputs: dict) -> None:
-        if outputs["miss_valid"]:
+    def consume_output(self, outputs: tuple) -> None:
+        (resp_valid, resp_rdata, _was_hit, miss_valid, miss_addr,
+         wt_valid, wt_addr, wt_data) = outputs[:8]
+        if miss_valid:
             self._waiting_fill = True
-            self.send_mem_read(outputs["miss_addr"], LINE_BYTES)
-        if outputs["wt_valid"]:
+            self.send_mem_read(miss_addr, LINE_BYTES)
+        if wt_valid:
             self.send_mem_write(
-                outputs["wt_addr"], 8,
-                data=int(outputs["wt_data"]).to_bytes(8, "little"),
+                wt_addr, 8, data=wt_data.to_bytes(8, "little"),
             )
-        if outputs["resp_valid"]:
+        if resp_valid:
             pkt = self._current
             if pkt is None:
                 raise RuntimeError(f"{self.name}: response with no request")
@@ -237,8 +237,7 @@ class RTLCacheObject(RTLObject):
             self._waiting_fill = False
             if pkt.is_read:
                 self.respond_cpu(
-                    pkt,
-                    int(outputs["resp_rdata"]).to_bytes(8, "little")[: pkt.size],
+                    pkt, resp_rdata.to_bytes(8, "little")[: pkt.size],
                 )
             else:
                 self.respond_cpu(pkt)

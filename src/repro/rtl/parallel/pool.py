@@ -3,7 +3,7 @@
 ``repro.parallel.runner`` fans *independent simulations* out to a
 ``ProcessPoolExecutor``; ticking RTL models inside one simulation needs
 a different shape: workers that keep model state between calls (the
-compiled kernel lives in the worker, only input/output byte snapshots
+compiled kernel lives in the worker, only input/output struct tuples
 cross the pipe) and a submit/barrier interface a bulk-synchronous
 scheduler can drive.  This module provides that pool, reusing the
 runner's discipline where it applies:
@@ -242,8 +242,8 @@ class LibraryHost:
     def handle(self, op: str, *args: Any) -> Any:
         lib = self.library
         if op == "tick":
-            in_bytes, n = args
-            return lib.tick_batch(in_bytes, n) if n > 1 else lib.tick(in_bytes)
+            inputs, n = args
+            return lib.tick_batch(inputs, n) if n > 1 else lib.tick(inputs)
         if op == "reset":
             return lib.reset()
         if op == "checkpoint":
@@ -257,8 +257,9 @@ class PooledLibrary(SharedLibrary):
     """Parent-side proxy for a library living in a pool worker.
 
     Implements the full shared-library contract by round-tripping
-    through the worker pipe — byte snapshots in, byte snapshots out,
-    exactly the paper's tick protocol — plus the asynchronous
+    through the worker pipe — an input struct tuple in, an output
+    struct tuple out, exactly the paper's tick protocol — plus the
+    asynchronous
     :meth:`submit_tick` the barrier scheduler drives.  Struct specs are
     static metadata and come from the local twin (``inner``); only
     model *state* lives remotely.
@@ -279,18 +280,18 @@ class PooledLibrary(SharedLibrary):
     def output_spec(self) -> StructSpec:  # type: ignore[override]
         return self.inner.output_spec
 
-    def submit_tick(self, input_bytes: bytes, cycles: int) -> Ticket:
+    def submit_tick(self, inputs: tuple, cycles: int) -> Ticket:
         """Dispatch a tick without waiting (the scheduler's barrier
         collects the tickets in group order)."""
-        return self.pool.submit(self.hid, "tick", input_bytes, cycles)
+        return self.pool.submit(self.hid, "tick", inputs, cycles)
 
-    def tick(self, input_bytes: bytes) -> bytes:
-        return self.pool.call(self.hid, "tick", input_bytes, 1)
+    def tick(self, inputs: tuple) -> tuple:
+        return self.pool.call(self.hid, "tick", inputs, 1)
 
-    def tick_batch(self, input_bytes: bytes, cycles: int) -> bytes:
+    def tick_batch(self, inputs: tuple, cycles: int) -> tuple:
         if cycles < 1:
             raise ValueError(f"cannot batch {cycles} cycles")
-        return self.pool.call(self.hid, "tick", input_bytes, cycles)
+        return self.pool.call(self.hid, "tick", inputs, cycles)
 
     def reset(self) -> None:
         self.pool.call(self.hid, "reset")

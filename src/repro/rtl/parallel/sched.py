@@ -9,9 +9,9 @@ within the timestamp.  The scheduler exploits exactly that:
 
 1. the first group member to fire peels the remaining members off the
    heap top (:meth:`~repro.soc.event.EventQueue.peel_group`);
-2. every member's input phase runs (packing its input struct), with all
+2. every member's input phase runs (building its input struct), with all
    ``schedule()`` calls captured per phase;
-3. the byte snapshots are dispatched to the worker pool and the
+3. the input struct tuples are dispatched to the worker pool and the
    scheduler **barriers** on the clock edge, collecting outputs in
    group (index) order;
 4. every member's output phase runs, captured likewise;
@@ -137,7 +137,7 @@ class ParallelTickScheduler:
             par, tail = group[:-1], last
         buffers: list[list] = []
         try:
-            ins: list[bytes] = []
+            ins: list[tuple] = []
             for obj in par:
                 eq.begin_capture()
                 try:

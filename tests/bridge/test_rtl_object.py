@@ -34,7 +34,8 @@ class EchoLibrary(BehavioralSharedLibrary):
         self.reset_calls += 1
 
     def step(self, inputs):
-        return {"x": inputs["x"], "ticks": self.ticks}
+        (x,) = inputs
+        return self.output_spec.make(x, self.ticks)
 
 
 class Probe(RTLObject):
@@ -46,7 +47,7 @@ class Probe(RTLObject):
         self.x_in = 0
 
     def build_input(self):
-        return self.library.input_spec.pack(x=self.x_in)
+        return self.library.input_spec.make(x=self.x_in)
 
     def consume_output(self, outputs):
         self.seen.append(outputs)
@@ -84,7 +85,7 @@ class TestLifecycle:
         obj.x_in = 0x5A
         sim.run(until=5_000)
         assert obj.seen
-        assert all(o["x"] == 0x5A for o in obj.seen)
+        assert all(o[0] == 0x5A for o in obj.seen)
 
     def test_port_counts_match_paper(self, sim):
         obj = Probe(sim, "rtl", EchoLibrary())

@@ -21,7 +21,7 @@ class CountingLibrary(BehavioralSharedLibrary):
     output_spec = StructSpec("o", [Field("ticks", 32)])
 
     def step(self, inputs):
-        return {"ticks": self.ticks}
+        return self.output_spec.make(self.ticks)
 
 
 class TestNextEventTick:
@@ -45,15 +45,15 @@ class TestNextEventTick:
 class TestSharedLibraryTickBatch:
     def test_default_implementation_loops(self):
         lib = CountingLibrary()
-        out = lib.tick_batch(lib.input_spec.zeros(), 5)
+        out = lib.tick_batch(lib.input_spec.make(), 5)
         assert lib.ticks == 5
         # last output corresponds to the 5th tick (ticks was 4 going in)
-        assert lib.output_spec.unpack(out)["ticks"] == 4
+        assert out == (4,)
 
     def test_rejects_non_positive_counts(self):
         lib = CountingLibrary()
         with pytest.raises(ValueError):
-            lib.tick_batch(lib.input_spec.zeros(), 0)
+            lib.tick_batch(lib.input_spec.make(), 0)
 
     def test_rtl_fused_batch_equals_singles(self):
         """The fused RTL batch must reproduce n sequential ticks exactly."""
@@ -62,11 +62,10 @@ class TestSharedLibraryTickBatch:
         for lib in (batched, stepped):
             lib.reset()
             # enable all counters, count event 0
-            lib.tick(lib.input_spec.pack(awvalid=1, awaddr=REG_ENABLE,
+            lib.tick(lib.input_spec.make(awvalid=1, awaddr=REG_ENABLE,
                                          wdata=0xFFFFF))
-        stim = batched.input_spec.pack(events=1)
+        stim = batched.input_spec.make(events=1)
         out_b = batched.tick_batch(stim, 40)
-        out_s = b""
         for _ in range(40):
             out_s = stepped.tick(stim)
         assert out_b == out_s

@@ -58,12 +58,12 @@ class TestPipeline:
     def test_latency_is_pipeline_depth(self):
         lib = BitonicSharedLibrary(width=16)
         lib.reset()
-        out = lib.output_spec.unpack(
-            lib.tick(lib.input_spec.pack(valid_in=1, data=[3, 1, 2, 0, 7, 6, 5, 4]))
+        valid_out, _data = lib.tick(
+            lib.input_spec.make(valid_in=1, data=[3, 1, 2, 0, 7, 6, 5, 4])
         )
         ticks = 1
-        while not out["valid_out"]:
-            out = lib.output_spec.unpack(lib.tick(lib.input_spec.zeros()))
+        while not valid_out:
+            valid_out, _data = lib.tick(lib.input_spec.make())
             ticks += 1
         assert ticks == PIPELINE_DEPTH
 
@@ -80,11 +80,9 @@ class TestPipeline:
             fields = (
                 {"valid_in": 1, "data": batch} if batch is not None else {}
             )
-            out = lib.output_spec.unpack(
-                lib.tick(lib.input_spec.pack(**fields))
-            )
-            if out["valid_out"]:
-                results.append(out["data"])
+            valid_out, data = lib.tick(lib.input_spec.make(**fields))
+            if valid_out:
+                results.append(list(data))
             total += 1
         assert total == len(batches) + PIPELINE_DEPTH - 1
         assert all(r == sorted(b) for r, b in zip(results, batches))
@@ -92,11 +90,11 @@ class TestPipeline:
     def test_reset_clears_pipeline(self):
         lib = BitonicSharedLibrary(width=16)
         lib.reset()
-        lib.tick(lib.input_spec.pack(valid_in=1, data=[1] * 8))
+        lib.tick(lib.input_spec.make(valid_in=1, data=[1] * 8))
         lib.reset()
         for _ in range(PIPELINE_DEPTH + 2):
-            out = lib.output_spec.unpack(lib.tick(lib.input_spec.zeros()))
-            assert out["valid_out"] == 0
+            valid_out, _data = lib.tick(lib.input_spec.make())
+            assert valid_out == 0
 
 
 @settings(max_examples=30, deadline=None)

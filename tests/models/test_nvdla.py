@@ -3,9 +3,11 @@
 import pytest
 
 from repro.models.nvdla import NVDLACore, NVDLASharedLibrary
+from repro.models.nvdla.wrapper import REQ_LANES, RESP_LANES
 from repro.models.nvdla.core import (
     LayerConfig,
     NVDLA_ID_VALUE,
+    REG_BLOCKS_PER_OUT,
     REG_COMPUTE_X16,
     REG_ID,
     REG_IN_BLOCKS,
@@ -30,6 +32,11 @@ def configured_core(in_blocks=32, w_blocks=4, compute_x16=16,
     )
     core.csb_write(REG_OP_ENABLE, 1)
     return core
+
+
+def outputs(lib, out: tuple) -> dict:
+    """An output tuple keyed by field name."""
+    return {f.name: value for f, value in zip(lib.output_spec, out)}
 
 
 def run_zero_latency(core: NVDLACore, credit=255, max_cycles=100_000) -> int:
@@ -184,7 +191,7 @@ class TestWrapper:
             (REG_IN_BLOCKS, 4), (REG_W_BLOCKS, 0),
             (REG_COMPUTE_X16, 16), (REG_OP_ENABLE, 1),
         ):
-            lib.tick(lib.input_spec.pack(
+            lib.tick(lib.input_spec.make(
                 csb_valid=1, csb_write=1, csb_addr=addr, csb_wdata=value
             ))
         assert lib.core.busy
@@ -192,7 +199,7 @@ class TestWrapper:
         irq_seen = False
         pending: list[int] = []
         for _ in range(200):
-            out = lib.output_spec.unpack(lib.tick(lib.input_spec.pack(
+            out = outputs(lib, lib.tick(lib.input_spec.make(
                 credit=255,
                 rd_resp_count=min(len(pending), 4),
                 rd_resp_seqs=(pending + [0] * 4)[:4],
@@ -207,8 +214,59 @@ class TestWrapper:
     def test_csb_read_through_wrapper(self):
         lib = NVDLASharedLibrary()
         lib.reset()
-        out = lib.output_spec.unpack(lib.tick(lib.input_spec.pack(
+        out = outputs(lib, lib.tick(lib.input_spec.make(
             csb_valid=1, csb_write=0, csb_addr=REG_ID
         )))
         assert out["csb_rvalid"] == 1
         assert out["csb_rdata"] == NVDLA_ID_VALUE
+
+    def test_write_burst_reaches_the_bridge_in_full(self):
+        """Eight queued writes meet credit 8: every write the core issues
+        must appear in the output struct, and the layer must complete."""
+        lib = NVDLASharedLibrary()
+        lib.reset()
+        make = lib.input_spec.make
+        for addr, value in (
+            (REG_IN_ADDR_LO, 0x1000), (REG_OUT_ADDR_LO, 0x8000),
+            (REG_IN_BLOCKS, 16), (REG_W_BLOCKS, 0),
+            (REG_COMPUTE_X16, 1), (REG_BLOCKS_PER_OUT, 1),
+            (REG_OP_ENABLE, 1),
+        ):
+            lib.tick(make(csb_valid=1, csb_write=1, csb_addr=addr,
+                          csb_wdata=value))
+        seqs: list[int] = []
+        while len(seqs) < 16:
+            out = outputs(lib, lib.tick(make(credit=16)))
+            seqs += out["rd_seqs"][:out["rd_count"]]
+        # every read returns while the bridge grants no credit: compute
+        # fills the write queue to its depth
+        while seqs:
+            lanes, seqs = seqs[:RESP_LANES], seqs[RESP_LANES:]
+            lib.tick(make(credit=0, rd_resp_count=len(lanes),
+                          rd_resp_seqs=lanes + [0] * (RESP_LANES - len(lanes))))
+        assert len(lib.core._writes_pending) == NVDLACore.WRITE_QUEUE_DEPTH
+
+        issued = lib.core._writes_issued
+        out = outputs(lib, lib.tick(make(credit=8)))
+        assert out["wr_count"] == lib.core._writes_issued - issued
+        assert 0 < out["wr_count"] <= REQ_LANES
+
+        written = set(out["wr_addrs"][:out["wr_count"]])
+        acks = out["wr_count"]
+        for _ in range(100):
+            out = outputs(lib, lib.tick(make(credit=8, wr_acks=min(acks, 7))))
+            acks -= min(acks, 7)
+            acks += out["wr_count"]
+            written.update(out["wr_addrs"][:out["wr_count"]])
+            if out["irq"]:
+                break
+        assert out["irq"], "layer never completed"
+        assert written == {0x8000 + 64 * i for i in range(16)}
+
+    def test_wrapper_rejects_more_requests_than_lanes(self, monkeypatch):
+        lib = NVDLASharedLibrary()
+        lib.reset()
+        burst = {"reads": [], "writes": [0] * (REQ_LANES + 1), "irq": 0}
+        monkeypatch.setattr(lib.core, "step", lambda *args: burst)
+        with pytest.raises(RuntimeError, match="lanes"):
+            lib.tick(lib.input_spec.make(credit=8))

@@ -22,7 +22,9 @@ def pmu() -> PMUSharedLibrary:
 
 
 def tick(lib, **fields):
-    return lib.output_spec.unpack(lib.tick(lib.input_spec.pack(**fields)))
+    """One library tick; the output tuple keyed by field name."""
+    out = lib.tick(lib.input_spec.make(**fields))
+    return {f.name: value for f, value in zip(lib.output_spec, out)}
 
 
 def axi_write(lib, addr, value):

@@ -21,7 +21,9 @@ def lib():
 
 
 def tick(lib, **fields):
-    return lib.output_spec.unpack(lib.tick(lib.input_spec.pack(**fields)))
+    """One library tick; the output tuple keyed by field name."""
+    out = lib.tick(lib.input_spec.make(**fields))
+    return {f.name: value for f, value in zip(lib.output_spec, out)}
 
 
 WORDS = [0xA5A5_0000_0000_0000 + i for i in range(8)]

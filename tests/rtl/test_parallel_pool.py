@@ -155,9 +155,10 @@ class _CounterLib(SharedLibrary):
     def __init__(self) -> None:
         self.acc = 0
 
-    def tick(self, input_bytes: bytes) -> bytes:
-        self.acc += self.input_spec.unpack(input_bytes)["x"]
-        return self.output_spec.pack(acc=self.acc)
+    def tick(self, inputs: tuple) -> tuple:
+        (x,) = inputs
+        self.acc += x
+        return self.output_spec.make(acc=self.acc)
 
     def reset(self) -> None:
         self.acc = 0
@@ -186,26 +187,22 @@ class TestPooledLibrary:
         assert "acc" in pooled.output_spec
 
     def test_tick_and_batch_run_remotely(self, pooled):
-        out = pooled.tick(pooled.input_spec.pack(x=5))
-        assert pooled.output_spec.unpack(out)["acc"] == 5
-        out = pooled.tick_batch(pooled.input_spec.pack(x=2), 3)
-        assert pooled.output_spec.unpack(out)["acc"] == 11
+        assert pooled.tick(pooled.input_spec.make(x=5)) == (5,)
+        assert pooled.tick_batch(pooled.input_spec.make(x=2), 3) == (11,)
         # the local twin never saw any of it
         assert pooled.inner.acc == 0
         with pytest.raises(ValueError):
-            pooled.tick_batch(b"", 0)
+            pooled.tick_batch(pooled.input_spec.make(), 0)
 
     def test_submit_tick_is_asynchronous(self, pooled):
-        t1 = pooled.submit_tick(pooled.input_spec.pack(x=1), 1)
-        t2 = pooled.submit_tick(pooled.input_spec.pack(x=10), 1)
-        outs = [t.result() for t in (t1, t2)]
-        assert [pooled.output_spec.unpack(o)["acc"] for o in outs] == [1, 11]
+        t1 = pooled.submit_tick(pooled.input_spec.make(x=1), 1)
+        t2 = pooled.submit_tick(pooled.input_spec.make(x=10), 1)
+        assert [t.result() for t in (t1, t2)] == [(1,), (11,)]
 
     def test_reset_and_checkpoint_roundtrip(self, pooled):
-        pooled.tick(pooled.input_spec.pack(x=7))
+        pooled.tick(pooled.input_spec.make(x=7))
         assert pooled.checkpoint_state() == {"acc": 7}
         pooled.reset()
         assert pooled.checkpoint_state() == {"acc": 0}
         pooled.load_checkpoint_state({"acc": 42})
-        out = pooled.tick(pooled.input_spec.pack(x=1))
-        assert pooled.output_spec.unpack(out)["acc"] == 43
+        assert pooled.tick(pooled.input_spec.make(x=1)) == (43,)

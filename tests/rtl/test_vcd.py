@@ -235,19 +235,19 @@ class TestIntegration:
             output_spec = StructSpec("o", [Field("x", 1)])
 
             def drive(self, inputs):
-                self.sim.poke("x", inputs["x"])
+                self.sim.poke("x", inputs[0])
 
             def collect(self):
-                return {"x": self.sim.peek("x")}
+                return self.output_spec.make(self.sim.peek("x"))
 
         lib = Lib(m, trace_stream=io.StringIO(), trace_enabled=True)
         lib.reset()
-        lib.tick(lib.input_spec.pack(x=1))
+        lib.tick(lib.input_spec.make(x=1))
         assert lib.tracing
         lib.disable_waveforms()
         size = len(lib.sim.trace.stream.getvalue())
-        lib.tick(lib.input_spec.pack(x=0))
+        lib.tick(lib.input_spec.make(x=0))
         assert len(lib.sim.trace.stream.getvalue()) == size
         lib.enable_waveforms()
-        lib.tick(lib.input_spec.pack(x=1))
+        lib.tick(lib.input_spec.make(x=1))
         assert len(lib.sim.trace.stream.getvalue()) > size

@@ -115,10 +115,10 @@ class TestPendingWindow:
             output_spec = StructSpec("o", [Field("x", 1)])
 
             def drive(self, inputs):
-                self.sim.poke("x", inputs["x"])
+                self.sim.poke("x", inputs[0])
 
             def collect(self):
-                return {"x": self.sim.peek("x")}
+                return self.output_spec.make(self.sim.peek("x"))
 
         lib = Lib(m, trace_stream=io.StringIO(), trace_enabled=False)
         assert lib.sim.trace in registered_vcds()
