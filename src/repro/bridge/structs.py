@@ -103,6 +103,7 @@ def _generate(spec: "StructSpec") -> tuple[Callable, Callable, Callable]:
             flat.append(f"t[{i}]")
             decoded.append(f"f[{pos}] & {mask}")
         else:
+            # a defaulted array is this zero tuple itself: nothing to check
             zero = f"_zero_{n}"
             ns[zero] = (0,) * f.count
             params.append(f"{n}={zero}")

@@ -92,6 +92,10 @@ class NVDLASharedLibrary(BehavioralSharedLibrary):
                 f"writes in one cycle; the output struct has {REQ_LANES} "
                 "lanes of each"
             )
+        if not (reads or writes):
+            # most cycles issue nothing: every lane keeps make's zeros
+            return self.output_spec.make(csb_rvalid, csb_rdata,
+                                         irq=result["irq"])
         rd_pad = [0] * (REQ_LANES - len(reads))
         return self.output_spec.make(
             csb_rvalid,
